@@ -30,7 +30,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from repro.core import Cluster, ParallelConfig, RLDConfig, RLDOptimizer, ParameterSpace
+from repro.core import Cluster, RLDConfig, RLDOptimizer, ParameterSpace
 from repro.core.diagram import compute_plan_diagram
 from repro.engine.faults import FaultSchedule
 from repro.query import make_optimizer
@@ -66,14 +66,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     query = _load_query(args.query)
     estimate = _estimate(query, args.level, args.rate_level, args.dims)
     cluster = Cluster.homogeneous(args.nodes, args.capacity)
-    try:
-        config = RLDConfig(
-            epsilon=args.epsilon,
-            physical_algorithm=args.algorithm,
-            parallel=ParallelConfig(jobs=args.jobs),
-        )
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from exc
+    config = RLDConfig(epsilon=args.epsilon, physical_algorithm=args.algorithm)
     solution = RLDOptimizer(query, cluster, config=config).solve(estimate)
     print(solution.summary())
     print(
@@ -99,19 +92,7 @@ _STAGE_LABELS = {
 
 def _print_profile(solution) -> None:
     """Per-stage compile-time breakdown from the pipeline's StageTimer."""
-    # `workers:` entries are cumulative busy seconds across worker
-    # processes — concurrent with the wall-clock stages, so they are
-    # reported separately and excluded from the total.
-    stages = {
-        name: seconds
-        for name, seconds in solution.stage_seconds.items()
-        if not name.startswith("workers:")
-    }
-    workers = {
-        name: seconds
-        for name, seconds in solution.stage_seconds.items()
-        if name.startswith("workers:")
-    }
+    stages = solution.stage_seconds
     total = sum(stages.values())
     print("\ncompile-time profile:")
     for name, seconds in stages.items():
@@ -119,12 +100,11 @@ def _print_profile(solution) -> None:
         label = _STAGE_LABELS.get(name, name)
         print(f"  {label:<30} {seconds * 1000:>10.2f} ms  ({share:5.1f}%)")
     print(f"  {'total':<30} {total * 1000:>10.2f} ms")
-    for name, seconds in workers.items():
-        stage = name.removeprefix("workers:")
-        label = f"worker busy ({stage})"
-        print(f"  {label:<30} {seconds * 1000:>10.2f} ms  (concurrent)")
-    tensor_ms = solution.logical.tensor_build_seconds * 1000
-    print(f"  {'cost-tensor build (within robustness)':<40} {tensor_ms:.2f} ms")
+    tensor_seconds = solution.logical.tensor_build_seconds
+    tensor = (
+        "not built" if tensor_seconds is None else f"{tensor_seconds * 1000:.2f} ms"
+    )
+    print(f"  {'cost-tensor build (within robustness)':<40} {tensor}")
 
 
 def _cmd_diagram(args: argparse.Namespace) -> int:
@@ -297,14 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print a per-stage compile-time breakdown",
     )
-    p_compile.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for the parallel compile pipeline "
-        "(default 1 = serial; any value yields bitwise-identical "
-        "solutions — see docs/architecture.md 'Parallel compile')",
-    )
     p_compile.set_defaults(handler=_cmd_compile)
 
     p_diagram = sub.add_parser("diagram", help="render a 2-D plan diagram")
@@ -403,7 +375,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except ValueError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -32,13 +32,6 @@ from repro.core.optprune import (
     opt_prune,
     opt_prune_heterogeneous,
 )
-from repro.core.parallel import (
-    CornerPrefetcher,
-    ParallelConfig,
-    ParallelContext,
-    SharedArray,
-    SpeculativeOptimizer,
-)
 from repro.core.parameter_space import Dimension, ParameterSpace, Region
 from repro.core.partitioning import (
     EarlyTerminatedRobustPartitioning,
@@ -95,13 +88,8 @@ __all__ = [
     "EarlyTerminatedRobustPartitioning",
     "ExhaustiveSearch",
     "InfeasiblePlacementError",
-    "CornerPrefetcher",
     "NormalOccurrenceModel",
-    "ParallelConfig",
-    "ParallelContext",
     "ParameterSpace",
-    "SharedArray",
-    "SpeculativeOptimizer",
     "PartitioningResult",
     "PhysicalPlan",
     "PhysicalPlanResult",

@@ -143,8 +143,14 @@ class CostTensorCache:
         return self._ranks
 
     @property
-    def build_seconds(self) -> float:
-        """Wall-clock seconds spent building tensors so far."""
+    def build_seconds(self) -> float | None:
+        """Wall-clock seconds spent building tensors so far.
+
+        None while no tensor has been built, e.g. on sampled grids,
+        where only the plan ranks are read.
+        """
+        if self._cost_tensor is None and not self._load_tensors:
+            return None
         return self._build_seconds
 
     def plan_index(self, plan: LogicalPlan) -> int:

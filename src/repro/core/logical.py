@@ -134,14 +134,14 @@ class RobustLogicalSolution:
         return self._tensor_cache
 
     @property
-    def tensor_build_seconds(self) -> float:
+    def tensor_build_seconds(self) -> float | None:
         """Seconds spent building dense cost/load tensors so far.
 
-        0.0 when no per-cell scan has forced the cache yet; used by the
+        None when no per-cell scan has built a tensor yet; used by the
         CLI's ``compile --profile`` breakdown.
         """
         if self._tensor_cache is None:
-            return 0.0
+            return None
         return self._tensor_cache.build_seconds
 
     @property

@@ -20,15 +20,11 @@ so each set partition is generated exactly once.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
 from repro.core.greedy_phy import greedy_phy, largest_load_first
-from repro.core.parallel import (
-    ParallelContext,
-    candidates_by_first,
-    parallel_opt_prune_hetero_search,
-    parallel_opt_prune_search,
-)
 from repro.core.physical import (
     Cluster,
     PhysicalPlan,
@@ -108,6 +104,25 @@ def enumerate_feasible_configs(
     return configs
 
 
+def candidates_by_first(
+    pairs: Iterable[tuple[int, int]], n_ops: int
+) -> dict[int, list[tuple[int, int]]]:
+    """Feasible configs grouped by lowest operator, largest-first.
+
+    The canonical candidate ordering of Algorithm 5's DFS: every
+    configuration is filed under its lowest-indexed operator and each
+    bucket is sorted by descending operator count, then ascending
+    subset mask.
+    """
+    by_first: dict[int, list[tuple[int, int]]] = {i: [] for i in range(n_ops)}
+    for subset, mask in pairs:
+        first = (subset & -subset).bit_length() - 1
+        by_first[first].append((subset, mask))
+    for candidates in by_first.values():
+        candidates.sort(key=lambda item: (-bin(item[0]).count("1"), item[0]))
+    return by_first
+
+
 def _subset_to_ops(subset: int, ops: list[int]) -> frozenset[int]:
     """Convert an operator-subset bitmask back to operator ids."""
     return frozenset(ops[i] for i in range(len(ops)) if subset >> i & 1)
@@ -136,7 +151,6 @@ def opt_prune(
     cluster: Cluster,
     *,
     rebalance: bool = True,
-    parallel: ParallelContext | None = None,
 ) -> PhysicalPlanResult:
     """OptPrune (Algorithm 5): the optimal robust physical plan.
 
@@ -152,11 +166,6 @@ def opt_prune(
     of every supported plan) but the load is spread evenly, which
     matters for runtime queueing.  Score and supported plans — the
     quantities Figures 13–14 compare — are identical either way.
-
-    With an enabled ``parallel`` context the branch-and-bound tree is
-    sharded across worker processes (see :mod:`repro.core.parallel`);
-    the result is bitwise-identical to the serial search except for the
-    ``nodes_explored`` diagnostic.
     """
     watch = Stopwatch()
     capacity = cluster.uniform_capacity
@@ -174,7 +183,6 @@ def opt_prune(
 
     # Per "first operator" candidate lists, largest configurations first
     # (Algorithm 5 sorts configurations by operator count descending).
-    # Shared with the parallel shard workers so candidate indices agree.
     by_first = candidates_by_first(configs.items(), len(ops))
 
     def search(remaining: int, used: int, mask: int, chosen: list[int]) -> bool:
@@ -208,24 +216,7 @@ def opt_prune(
             chosen.pop()
         return False
 
-    if configs and parallel is not None and parallel.enabled:
-        best_score, assignment, parallel_mask, nodes_explored = (
-            parallel_opt_prune_search(
-                table,
-                configs,
-                by_first,
-                n_nodes=n_nodes,
-                n_ops=len(ops),
-                all_ops_mask=all_ops_mask,
-                greedy_score=best_score,
-                full_score=full_score,
-                context=parallel,
-            )
-        )
-        if assignment is not None:
-            best_assignment = list(assignment)
-            best_mask = parallel_mask
-    elif configs:
+    if configs:
         search(all_ops_mask, 0, table.full_mask, [])
 
     elapsed = watch.seconds
@@ -263,10 +254,7 @@ def opt_prune(
 
 
 def opt_prune_heterogeneous(
-    table: PlanLoadTable,
-    cluster: Cluster,
-    *,
-    parallel: ParallelContext | None = None,
+    table: PlanLoadTable, cluster: Cluster
 ) -> PhysicalPlanResult:
     """Optimal robust physical plan for *heterogeneous* clusters.
 
@@ -348,21 +336,7 @@ def opt_prune_heterogeneous(
             node_masks[node] = saved_mask
         return False
 
-    if parallel is not None and parallel.enabled and ops and n_nodes:
-        best_score, hetero_assignment, parallel_mask, nodes_explored = (
-            parallel_opt_prune_hetero_search(
-                table,
-                capacities=capacities,
-                greedy_score=best_score,
-                full_score=full_score,
-                context=parallel,
-            )
-        )
-        if hetero_assignment is not None:
-            best_assignment = [frozenset(node) for node in hetero_assignment]
-            best_mask = parallel_mask
-    else:
-        search(0)
+    search(0)
     elapsed = watch.seconds
     if best_assignment is None:
         return PhysicalPlanResult(

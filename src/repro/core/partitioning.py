@@ -34,7 +34,6 @@ from typing import Iterator
 import numpy as np
 
 from repro.core.logical import PlanDiscovery, RobustLogicalSolution
-from repro.core.parallel import CornerPrefetcher, ParallelContext, SpeculativeOptimizer
 from repro.core.parameter_space import ParameterSpace, Region
 from repro.core.robustness import RobustnessChecker
 from repro.core.weights import RegionWeights, WeightAssigner
@@ -279,29 +278,17 @@ class WeightedRobustPartitioning(SpacePartitioner):
         failure_probability: float = 0.25,
         area_bound: float = 0.3,
         use_cost_weights: bool = True,
-        parallel: ParallelContext | None = None,
     ) -> None:
         super().__init__(
             query, space, optimizer=optimizer, epsilon=epsilon, max_calls=max_calls
         )
         self._age_threshold = aging_threshold(failure_probability, area_bound)
         self._use_cost_weights = use_cost_weights
-        # Parallel mode only speculates: workers pre-solve corner points
-        # and the SpeculativeOptimizer wrapper replays them with serial
-        # call accounting, so results are bitwise-identical to jobs=1.
-        self._parallel = parallel if parallel is not None and parallel.enabled else None
-        if self._parallel is not None:
-            self._optimizer = SpeculativeOptimizer(self._optimizer)
 
     def run(self) -> PartitioningResult:
         start = self._optimizer.call_count
         checker = RobustnessChecker(self._optimizer, self._epsilon)
         assigner = WeightAssigner(self._space, self._cost_model)
-        prefetch: CornerPrefetcher | None = None
-        if self._parallel is not None and isinstance(
-            self._optimizer, SpeculativeOptimizer
-        ):
-            prefetch = CornerPrefetcher(self._parallel, self._space, self._optimizer)
 
         plans: list[LogicalPlan] = []
         seen: set[LogicalPlan] = set()
@@ -341,16 +328,6 @@ class WeightedRobustPartitioning(SpacePartitioner):
                 break
             _, _, entry = heapq.heappop(queue)
             region = entry.region
-            if prefetch is not None:
-                # Speculative wave: pre-solve every unknown corner of this
-                # region and of the next-to-pop queued regions in one pool
-                # map.  The store only short-circuits `_find_best`, never
-                # the call charging, so budgets and the aging counter are
-                # exact.
-                upcoming = heapq.nsmallest(prefetch.wave_regions, queue)
-                prefetch.ensure(
-                    region, (e.region for _, _, e in upcoming), checker
-                )
             check = checker.check_region(region)
             processed += 1
 

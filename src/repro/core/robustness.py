@@ -88,14 +88,6 @@ class RobustnessChecker:
         """Optimizer calls made through this checker's optimizer."""
         return self._optimizer.call_count
 
-    def has_cached(self, index: GridIndex) -> bool:
-        """True when the corner plan at ``index`` is already cached.
-
-        Used by the parallel prefetcher to avoid speculating on corners
-        that would not cost an optimizer search anyway.
-        """
-        return index in self._corner_plans
-
     def optimal_plan_at(self, index: GridIndex, space: ParameterSpace) -> LogicalPlan:
         """Optimal plan at a grid index, cached per index."""
         cached = self._corner_plans.get(index)

@@ -83,17 +83,6 @@ class PointOptimizer(ABC):
         """Cost of ``plan`` at ``point`` — not counted as an optimizer call."""
         return self._cost_model.plan_cost(plan, point)
 
-    def peek(self, point: Mapping[str, float]) -> LogicalPlan:
-        """Cheapest plan at ``point`` *without* charging an optimizer call.
-
-        The escape hatch for speculative evaluation (the parallel
-        compile pipeline): pool workers pre-solve points with ``peek``
-        and the serial replay charges the call at the moment the
-        algorithm actually asks, preserving the paper's call-count
-        semantics exactly.
-        """
-        return self._find_best(point)
-
     def optimize(self, point: Mapping[str, float]) -> LogicalPlan:
         """Cheapest plan at ``point`` (counted as one optimizer call)."""
         self._call_count += 1

@@ -128,6 +128,12 @@ class StatisticsEstimate:
                 raise ValueError(
                     f"uncertainty level for {name!r} must be a non-negative int, got {level!r}"
                 )
+            if UNCERTAINTY_UNIT_STEP * level >= 1.0:
+                raise ValueError(
+                    f"uncertainty level {level} for {name!r} leaves the model: "
+                    f"Algorithm 1's lower bound e*(1 - {UNCERTAINTY_UNIT_STEP}*{level}) "
+                    "is not positive"
+                )
         object.__setattr__(self, "estimates", MappingProxyType(dict(self.estimates)))
         object.__setattr__(self, "uncertainty", MappingProxyType(dict(self.uncertainty)))
 

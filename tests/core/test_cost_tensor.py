@@ -55,6 +55,7 @@ class TestCostTensor:
                     assert loads[op_id][flat] == load
 
     def test_tensors_are_memoized_and_read_only(self, cache):
+        assert cache.build_seconds is None
         assert cache.cost_tensor is cache.cost_tensor
         assert cache.load_tensor(0) is cache.load_tensor(0)
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core import ParameterSpace
 from repro.query import StatisticsEstimate, StatPoint, rate_param, selectivity_param
 from repro.query.statistics import UNCERTAINTY_UNIT_STEP
 
@@ -110,3 +111,22 @@ class TestStatisticsEstimate:
         width = UNCERTAINTY_UNIT_STEP * level * value
         assert hi - value == pytest.approx(width, rel=1e-9)
         assert value - lo == pytest.approx(width, rel=1e-9)
+
+    @given(
+        value=st.floats(min_value=1e-3, max_value=1e6),
+        level=st.integers(min_value=0, max_value=50),
+    )
+    def test_levels_that_leave_the_model_are_rejected(self, value, level):
+        # Algorithm 1's lower bound e·(1 − 0.1·u) reaches zero at u = 10:
+        # below that every bound and grid value is positive, from there
+        # on the estimate is refused instead of compiled over.
+        if level >= 10:
+            with pytest.raises(ValueError, match="leaves the model"):
+                StatisticsEstimate({"x": value}, {"x": level})
+            return
+        est = StatisticsEstimate({"x": value}, {"x": level})
+        lo, hi = est.bounds("x")
+        assert 0 < lo <= hi
+        if level > 0:
+            space = ParameterSpace.from_estimates(est)
+            assert (space.dimensions[0].values_array() > 0).all()

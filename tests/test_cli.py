@@ -55,6 +55,15 @@ class TestCompile:
         assert "total" in out
         assert "cost-tensor build" in out
 
+    def test_compile_profile_says_when_no_tensor_was_built(self, capsys):
+        # q2's space is above the exact-grid limit, so the pipeline
+        # scans sampled points and never builds a dense cost tensor.
+        code = main(["compile", "--query", "q2", "--profile"])
+        out = capsys.readouterr().out
+        assert code == 0
+        tensor_row = next(line for line in out.splitlines() if "cost-tensor" in line)
+        assert tensor_row.split()[-2:] == ["not", "built"]
+
     def test_compile_without_profile_omits_breakdown(self, capsys):
         main(["compile", "--query", "q1", "--level", "2", "--rate-level", "0"])
         assert "compile-time profile:" not in capsys.readouterr().out
@@ -114,3 +123,23 @@ class TestSimulate:
         out = capsys.readouterr().out
         assert code == 0
         assert "DYN" not in out.splitlines()[-1]
+
+
+class TestErrors:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--epsilon", "-1"],
+            ["--nodes", "0"],
+            ["--capacity", "0"],
+            ["--query", "nway:30"],
+            ["--level", "12"],
+        ],
+    )
+    def test_invalid_input_is_one_line_with_exit_two(self, flags, capsys):
+        code = main(["compile", *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("repro: error: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
