@@ -3,7 +3,7 @@
 :class:`~repro.core.cost_tensor.CostTensorCache` and
 :meth:`~repro.core.parameter_space.ParameterSpace.grid_matrix` memoize
 arrays that *every* downstream decision — ERP coverage, robustness,
-weights, routing tables — reads by reference.  One in-place write
+weights, physical load tables — reads by reference.  One in-place write
 corrupts all of them at once, and NumPy views make it easy to do so
 accidentally three variables away from the cache access.
 

@@ -14,14 +14,13 @@ parameter space is a handful of NumPy tensor operations, not
   cost at every grid point, columns in the row-major order of
   :meth:`~repro.core.parameter_space.ParameterSpace.grid_indices`;
 * per-plan **load tensors** — ``{op_id: (n_points,)}`` operator load
-  vectors, the input to physical feasibility and routing-table
-  construction.
+  vectors, the input to physical feasibility.
 
 Tensors are built with the batch kernels of
 :class:`~repro.query.cost.PlanCostModel`, whose accumulation order
 mirrors the scalar methods operation for operation — so every slice is
 bitwise identical to the scalar value it replaces, and argmin-based
-decisions (plan cells, routing tables, coverage) cannot drift from the
+decisions (plan cells, coverage) cannot drift from the
 scalar semantics they refactor.
 
 :func:`lexicographic_argmin` is the shared tie-break kernel: NumPy has
@@ -35,7 +34,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.parameter_space import GridIndex, ParameterSpace
+from repro.core.parameter_space import ParameterSpace
 from repro.query.cost import PlanCostModel
 from repro.query.plans import LogicalPlan
 from repro.util.timing import Stopwatch
@@ -224,13 +223,3 @@ class CostTensorCache:
             [self.cost_tensor[subset]], self._ranks[subset]
         )
         return subset[best]
-
-    def costs_at(self, plan_index: int, flat_indices: IntArray) -> FloatArray:
-        """Cost-tensor slice: one plan's costs at selected flat points."""
-        return self.cost_tensor[plan_index, flat_indices]
-
-    def flat_indices(self, indices: Iterable[GridIndex]) -> IntArray:
-        """Row-major flat positions of grid indices (tensor columns)."""
-        return np.fromiter(
-            (self._space.flat_index(index) for index in indices), dtype=np.intp
-        )

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.query.statistics import StatisticsEstimate, StatPoint
 from repro.util.validation import ensure_non_empty, ensure_positive
-from repro.util.types import FloatArray, IntArray
+from repro.util.types import FloatArray
 
 __all__ = ["Dimension", "ParameterSpace", "Region", "GridIndex"]
 
@@ -96,9 +96,7 @@ class Dimension:
         """Grid index whose value is nearest to ``value`` (clamped).
 
         A value exactly halfway between two grid cells rounds to the
-        *even* index (IEEE round-half-to-even, Python's ``round``),
-        matching :meth:`nearest_indices` so scalar and vectorized
-        lookups can never disagree at cell boundaries.
+        *even* index (IEEE round-half-to-even, Python's ``round``).
         """
         if self.steps == 1 or self.cell_width <= 0:
             return 0
@@ -115,18 +113,6 @@ class Dimension:
         if self.steps == 1:
             return np.array([self.lo])
         return self.lo + np.arange(self.steps) * self.cell_width
-
-    def nearest_indices(self, values: FloatArray) -> IntArray:
-        """Vectorized :meth:`nearest_index` over an array of values.
-
-        Uses ``np.rint`` (round-half-to-even), the same rounding rule as
-        the scalar path, then clamps to ``[0, steps-1]``.
-        """
-        values = np.asarray(values, dtype=float)
-        if self.steps == 1 or self.cell_width <= 0:
-            return np.zeros(values.shape, dtype=np.intp)
-        raw = np.rint((values - self.lo) / self.cell_width).astype(np.intp)
-        return np.clip(raw, 0, self.steps - 1)
 
 
 class ParameterSpace:
@@ -268,14 +254,6 @@ class ParameterSpace:
         idx = np.asarray(list(indices), dtype=np.intp).reshape(-1, self.n_dims)
         return np.column_stack(
             [d.values_array()[idx[:, i]] for i, d in enumerate(self._dimensions)]
-        )
-
-    def nearest_indices(self, values: FloatArray) -> IntArray:
-        """Vectorized :meth:`nearest_index` over a ``(n, n_dims)`` value
-        matrix; returns an ``(n, n_dims)`` integer index matrix."""
-        values = np.asarray(values, dtype=float)
-        return np.column_stack(
-            [d.nearest_indices(values[:, i]) for i, d in enumerate(self._dimensions)]
         )
 
     def nearest_flat_index(self, point: Mapping[str, float]) -> int | None:

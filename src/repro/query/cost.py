@@ -273,12 +273,6 @@ class PlanCostModel:
             grads[:, names.index(name)] = rate * prefix_product * suffix
         return grads
 
-    def slopes_batch(
-        self, plan: LogicalPlan, values: FloatArray, names: Sequence[str]
-    ) -> FloatArray:
-        """Euclidean gradient norms at every point of a batch."""
-        grads = self.gradients_batch(plan, values, names)
-        return np.sqrt(np.sum(grads * grads, axis=1))
 
 
 def multilinear_features(values: Sequence[float]) -> FloatArray:

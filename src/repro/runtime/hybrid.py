@@ -59,7 +59,6 @@ class RLDHybridStrategy(RLDStrategy):
             )
         ensure_positive(saturation_threshold, "saturation_threshold")
         ensure_positive(cooldown_seconds, "cooldown_seconds")
-        self._space = solution.space
         self._tolerance = space_tolerance
         self._saturation = saturation_threshold
         self._cooldown = cooldown_seconds
@@ -135,4 +134,7 @@ class RLDHybridStrategy(RLDStrategy):
             ops_by_node[source], key=lambda op: (abs(loads[op] - gap / 2.0), op)
         )
         simulator.migrate(candidate, cold)
+        # Later routing prices the live placement, not the compiled one.
+        self._node_of[candidate] = cold
+        self._memo = None
         self._last_migration = time

@@ -12,9 +12,6 @@ of each batch's expected processing time, so the reported
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core.cost_tensor import lexicographic_argmin
 from repro.core.physical import InfeasiblePlacementError, PhysicalPlan
 from repro.core.rld import RLDSolution
 from repro.engine.faults import FaultEvent
@@ -22,14 +19,12 @@ from repro.engine.system import RoutingDecision, StreamSimulator
 from repro.query.cost import PlanCostModel
 from repro.query.plans import LogicalPlan
 from repro.query.statistics import StatPoint, rate_param
-from repro.util.types import IntArray
 from repro.util.validation import ensure_in_range
 
 __all__ = ["RLDStrategy"]
 
-#: Above this many grid points the routing table is disabled and every
-#: batch takes the live (scalar argmin) path — the table would cost more
-#: memory than the per-batch evaluation it saves.
+#: Above this many grid points the routing memo is disabled and every
+#: batch is classified at its exact, unsnapped statistics.
 MAX_TABLE_POINTS = 200_000
 
 
@@ -89,26 +84,22 @@ class RLDStrategy:
         self._capacities = solution.cluster.capacities
         #: Nodes currently offline (maintained via the on_fault hook).
         self._down: set[int] = set()
-        # ---- Precomputed routing table over grid cells --------------
-        # One argmin decision per grid point, mirroring route()'s exact
-        # branch logic for the current down-set.  Lazily built, rebuilt
-        # after faults change node liveness, bypassed (live path) when
-        # the statistics fall off-grid.
+        # ---- Per-cell routing memo ---------------------------------
+        # On-grid statistics snap to the nearest grid cell; each cell's
+        # decision is _route_live at the cell's grid point, computed on
+        # first use and kept until node liveness (or, for RLD+M, the
+        # placement) changes.
         self._space = solution.space
-        self._table: IntArray | None = None
-        self._table_down: frozenset[int] = frozenset()
+        self._memo: dict[int, LogicalPlan] | None = None
         self._table_hits = 0
         self._table_misses = 0
         self._table_rebuilds = 0
         self._table_enabled = self._space.n_points <= MAX_TABLE_POINTS
-        by_order = sorted(range(len(self._plans)), key=lambda i: self._plans[i].order)
-        self._plan_ranks = np.empty(len(self._plans), dtype=np.intp)
-        for rank, i in enumerate(by_order):
-            self._plan_ranks[i] = rank
         # Cost-relevant parameters that are *not* space dimensions are
-        # baked into the table at their model defaults; if the monitor
-        # reports a drifted value for one of them, the table no longer
-        # describes the live cost surface and the lookup must miss.
+        # fixed at their model defaults in a cell's grid point; if the
+        # monitor reports a drifted value for one of them, the snapped
+        # decision no longer describes the live cost surface and the
+        # lookup must miss.
         dim_names = set(self._space.names)
         self._off_dim_defaults: dict[str, float] = {}
         if self._rate_name not in dim_names:
@@ -165,98 +156,36 @@ class RLDStrategy:
         return frozenset(self._down)
 
     # ------------------------------------------------------------------
-    # Precomputed routing table (the O(1) classifier fast path)
+    # Per-cell routing memo (the classifier fast path)
     # ------------------------------------------------------------------
 
     @property
     def routing_table_enabled(self) -> bool:
-        """False when the space is too large to tabulate."""
+        """False when the space is too large to snap statistics to."""
         return self._table_enabled
 
     @property
     def table_hits(self) -> int:
-        """Batches routed by the precomputed table."""
+        """Batches routed by their grid cell's decision."""
         return self._table_hits
 
     @property
     def table_misses(self) -> int:
-        """Batches routed by live evaluation (off-grid or disabled)."""
+        """Batches routed at exact statistics (off-grid or disabled)."""
         return self._table_misses
 
     @property
     def table_rebuilds(self) -> int:
-        """Times the table was (re)built, including the first build."""
+        """Times the memo was started fresh, including the first time."""
         return self._table_rebuilds
 
-    def _build_table(self) -> IntArray:
-        """One routing decision per grid cell for the current down-set.
-
-        Vectorized mirror of :meth:`_route_live`'s three branches over
-        the whole grid at once: the cost argmin, the dead-bottleneck
-        fallback, and the overload (min-bottleneck) mode.  All argmins
-        share the scalar path's ``(…, plan.order)`` tie-break via
-        :func:`lexicographic_argmin`.
-        """
-        space = self._space
-        names = list(space.names)
-        matrix = space.grid_matrix()
-        n_points = matrix.shape[0]
-        n_plans = len(self._plans)
-        capacities = np.asarray(self._capacities, dtype=float)
-        down = np.zeros(len(self._capacities), dtype=bool)
-        for node in self._down:
-            down[node] = True
-
-        costs = np.empty((n_plans, n_points))
-        butil = np.empty((n_plans, n_points))
-        bneck = np.empty((n_plans, n_points), dtype=np.intp)
-        down_load = np.zeros((n_plans, n_points))
-        for p, plan in enumerate(self._plans):
-            costs[p] = self._cost_model.plan_costs(plan, matrix, names)
-            loads = self._cost_model.operator_loads_batch(plan, matrix, names)
-            node_loads = np.zeros((len(self._capacities), n_points))
-            for op_id, load in loads.items():
-                node_loads[self._node_of[op_id]] += load
-            utils = node_loads / capacities[:, None]
-            bneck[p] = np.argmax(utils, axis=0)  # first max = smallest node
-            butil[p] = utils.max(axis=0)
-            if self._down:
-                for op_id, load in loads.items():
-                    if self._node_of[op_id] in self._down:
-                        down_load[p] += load
-
-        choice = lexicographic_argmin([costs], self._plan_ranks)
-        if n_plans > 1:
-            cols = np.arange(n_points)
-            pref_util = butil[choice, cols]
-            if self._down:
-                plan_bneck_down = down[bneck]  # (n_plans, n_points)
-                pref_down = plan_bneck_down[choice, cols]
-                survive = ~plan_bneck_down
-                has_survivor = survive.any(axis=0)
-                # Non-surviving plans leave the candidate pool (∞ key)
-                # except where *every* plan bottlenecks on a dead node.
-                dl_key = np.where(
-                    has_survivor[None, :] & ~survive, np.inf, down_load
-                )
-                degraded = lexicographic_argmin([dl_key, costs], self._plan_ranks)
-                overloaded = ~pref_down & (pref_util >= self._overload_threshold)
-                choice = np.where(pref_down, degraded, choice)
-            else:
-                overloaded = pref_util >= self._overload_threshold
-            if overloaded.any():
-                by_bottleneck = lexicographic_argmin(
-                    [butil, costs], self._plan_ranks
-                )
-                choice = np.where(overloaded, by_bottleneck, choice)
-        return choice
-
     def _table_plan(self, stats: StatPoint) -> LogicalPlan | None:
-        """Table lookup; ``None`` demands the live path.
+        """Decision of the grid cell nearest ``stats``; ``None`` demands
+        the live path.
 
-        Misses when the table is disabled (space too large), when any
-        cost parameter *outside* the space drifted from the default the
-        table was baked with, or when the statistics fall off-grid
+        Misses when the memo is disabled (space too large), when any
+        cost parameter *outside* the space drifted from the default a
+        grid point carries, or when the statistics fall off-grid
         (beyond half a cell outside the box).
         """
         if not self._table_enabled:
@@ -270,21 +199,23 @@ class RLDStrategy:
         flat = self._space.nearest_flat_index(stats)
         if flat is None:
             return None
-        current_down = frozenset(self._down)
-        if self._table is None or self._table_down != current_down:
-            self._table = self._build_table()
-            self._table_down = current_down
+        if self._memo is None:
+            self._memo = {}
             self._table_rebuilds += 1
-        return self._plans[int(self._table[flat])]
+        plan = self._memo.get(flat)
+        if plan is None:
+            cell = self._space.index_of_flat(flat)
+            plan = self._memo[flat] = self._route_live(self._space.point_at(cell))
+        return plan
 
     def route(self, time: float, stats: StatPoint) -> RoutingDecision:
         """Classify the batch to a supported robust plan.
 
         The fast path snaps the statistics to the nearest grid cell and
-        reads the plan from the precomputed routing table — O(1) per
-        batch.  Statistics off the grid (or a space too large to
-        tabulate) fall back to :meth:`_route_live`, the scalar argmin
-        the table was built from.
+        reuses that cell's decision — :meth:`_route_live` at the cell's
+        grid point, evaluated once per cell and down-set.  Statistics
+        off the grid (or a space too large to snap to) are classified
+        by :meth:`_route_live` at their exact values.
         """
         plan = self._table_plan(stats)
         if plan is not None:
@@ -379,14 +310,14 @@ class RLDStrategy:
         RLD's graceful degradation is purely logical: the placement
         never changes, but the classifier reroutes batches through the
         candidate plan that burdens the dead node least.  Any liveness
-        change invalidates the routing table; the next on-grid batch
-        rebuilds it for the new down-set.
+        change empties the routing memo, so every cell is decided again
+        for the new down-set.
         """
         if event.kind == "crash" and event.node is not None:
             if event.node not in self._down:
                 self._down.add(event.node)
-                self._table = None
+                self._memo = None
         elif event.kind == "recover" and event.node is not None:
             if event.node in self._down:
                 self._down.discard(event.node)
-                self._table = None
+                self._memo = None

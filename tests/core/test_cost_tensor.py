@@ -91,11 +91,6 @@ class TestCostTensor:
         best = cache.best_plan_per_point([2, 1])
         assert set(np.unique(best)) <= {1, 2}
 
-    def test_flat_indices_round_trip(self, cache):
-        indices = list(cache.space.grid_indices())
-        flats = cache.flat_indices(indices)
-        assert np.array_equal(flats, np.arange(cache.n_points))
-
     def test_plan_index_lookup(self, cache, plans):
         assert cache.plan_index(plans[1]) == 1
         with pytest.raises(ValueError):

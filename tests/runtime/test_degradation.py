@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import Cluster, RLDConfig, RLDOptimizer
+from repro.core import Cluster, ParameterSpace, RLDConfig, RLDOptimizer
 from repro.engine import FaultEvent, FaultSchedule
 from repro.engine.faults import node_crash
 from repro.runtime.comparison import build_standard_strategies, compare_strategies
@@ -90,10 +90,10 @@ class TestSurvivingPlanFallback:
 
 
 class TestRoutingTableUnderFaults:
-    """The precomputed argmin routing table and its fault-path wiring:
-    ``on_fault`` must invalidate the table so post-crash routes are
-    re-derived against the surviving plan set, and recovery must
-    rebuild it back to the healthy decisions."""
+    """The per-cell routing memo and its fault-path wiring: ``on_fault``
+    must empty the memo so post-crash routes are re-derived against the
+    surviving plan set, and recovery must start it fresh again with the
+    healthy decisions."""
 
     def test_on_grid_routes_hit_the_table(self, compiled):
         query, estimate, cluster, solution = compiled
@@ -133,7 +133,7 @@ class TestRoutingTableUnderFaults:
 
         strategy.on_fault(None, FaultEvent(time=10.0, kind="crash", node=bottleneck))
         fallback = strategy.route(10.0, stats).plan
-        # The post-crash decision came from a *rebuilt* table, not a
+        # The post-crash decision came from a *fresh* memo, not a
         # live-path miss, and avoids the dead bottleneck.
         assert strategy.table_rebuilds == 2
         assert strategy.table_misses == 0
@@ -145,8 +145,8 @@ class TestRoutingTableUnderFaults:
         assert strategy.table_rebuilds == 3
 
     def test_rebuilt_table_matches_live_decisions(self, compiled):
-        """The vectorized degraded-mode table must agree with the scalar
-        live path at every grid point it covers."""
+        """Memoized degraded-mode decisions must agree with the scalar
+        live path at every grid point."""
         query, estimate, cluster, solution = compiled
         tabled = RLDStrategy(solution)
         live = RLDStrategy(solution)
@@ -160,6 +160,73 @@ class TestRoutingTableUnderFaults:
         for flat in range(0, space.n_points, max(1, space.n_points // 97)):
             point = space.point_at(space.index_of_flat(flat))
             assert tabled.route(10.0, point).plan == live._route_live(point)
+
+    def test_routing_never_builds_the_grid_matrix(self, compiled, monkeypatch):
+        query, estimate, cluster, solution = compiled
+
+        def refuse(self):
+            raise AssertionError("routing must not build the grid matrix")
+
+        monkeypatch.setattr(ParameterSpace, "grid_matrix", refuse)
+        strategy = RLDStrategy(solution)
+        stats = estimate.point
+        preferred = strategy.route(0.0, stats).plan
+        bottleneck = strategy.bottleneck_node(preferred, stats)
+        strategy.on_fault(None, FaultEvent(time=10.0, kind="crash", node=bottleneck))
+        strategy.route(10.0, stats)
+        assert strategy.table_hits == 2
+        assert strategy.table_misses == 0
+
+    def test_near_grid_stats_route_to_their_cell_under_a_crash(self, compiled):
+        query, estimate, cluster, solution = compiled
+        strategy = RLDStrategy(solution)
+        stats = estimate.point
+        bottleneck = strategy.bottleneck_node(strategy.route(0.0, stats).plan, stats)
+        strategy.on_fault(None, FaultEvent(time=10.0, kind="crash", node=bottleneck))
+        space = solution.space
+        for flat in range(0, space.n_points, max(1, space.n_points // 53)):
+            cell = space.index_of_flat(flat)
+            grid_point = space.point_at(cell)
+            # A third of a cell off the grid point along every dimension,
+            # towards the box's interior.
+            nudged = stats.replacing(
+                **{
+                    d.name: grid_point[d.name]
+                    + (d.cell_width if i < d.steps - 1 else -d.cell_width) / 3
+                    for d, i in zip(space.dimensions, cell)
+                }
+            )
+            assert space.nearest_flat_index(nudged) == flat
+            hits = strategy.table_hits
+            plan = strategy.route(10.0, nudged).plan
+            assert strategy.table_hits == hits + 1
+            assert plan == strategy._route_live(grid_point)
+
+    def test_repeat_lookup_in_a_cell_evaluates_nothing_new(
+        self, compiled, monkeypatch
+    ):
+        query, estimate, cluster, solution = compiled
+        strategy = RLDStrategy(solution)
+        calls = []
+        route_live = strategy._route_live
+
+        def counting(stats):
+            calls.append(stats)
+            return route_live(stats)
+
+        monkeypatch.setattr(strategy, "_route_live", counting)
+        stats = estimate.point
+        preferred = strategy.route(0.0, stats).plan
+        assert len(calls) == 1
+        assert strategy.route(1.0, stats).plan == preferred
+        assert len(calls) == 1
+
+        bottleneck = strategy.bottleneck_node(preferred, stats)
+        strategy.on_fault(None, FaultEvent(time=10.0, kind="crash", node=bottleneck))
+        fallback = strategy.route(10.0, stats).plan
+        assert len(calls) == 2
+        assert strategy.route(11.0, stats).plan == fallback
+        assert len(calls) == 2
 
 
 class TestDegradationHeadToHead:

@@ -75,6 +75,21 @@ class TestRuntimeBehaviour:
         ).run(120.0)
         assert report.migrations >= 1
 
+    def test_routing_prices_the_migrated_placement(self, solution):
+        query = solution.query
+        strategy = RLDHybridStrategy(
+            solution, saturation_threshold=0.8, cooldown_seconds=10.0
+        )
+        workload = Workload(query, rate_profile=ConstantRate(4.0))
+        simulator = StreamSimulator(
+            query, solution.cluster, strategy, workload, seed=3
+        )
+        report = simulator.run(120.0)
+        assert report.migrations >= 1
+        compiled = {op: strategy.placement.node_of(op) for op in query.operator_ids}
+        assert simulator.current_placement != compiled
+        assert strategy._node_of == simulator.current_placement
+
     def test_routing_identical_to_pure_rld(self, solution):
         pure = RLDStrategy(solution)
         hybrid = RLDHybridStrategy(solution)
