@@ -9,13 +9,15 @@ two ways on the Fig. 13 Q1 compile-time configuration (``Q1_DIMS``,
 * **scalar** — the pre-refactor idiom: one ``plan_cost`` /
   ``operator_loads`` call per (plan, grid point) pair inside Python
   loops over ``space.grid_indices()``;
-* **vectorized** — one :class:`CostTensorCache` build, i.e. one NumPy
-  kernel call per plan over the dense grid matrix.
+* **vectorized** — the batch kernels ``plan_costs`` and
+  ``operator_loads_batch``, one NumPy call per plan over
+  ``space.points_matrix`` of the full grid (building that matrix is
+  timed too).
 
 Results (plus the observed speedup) are written to
 ``BENCH_costkernel.json`` at the repo root so CI can archive the perf
-trajectory; the test asserts the tensors are *bitwise* equal to the
-scalar results and that the speedup clears 10×.
+trajectory; the test asserts the batch results are *bitwise* equal to
+the scalar results and that the speedup clears 10×.
 
 Runs on plain ``time.perf_counter`` — no pytest-benchmark dependency —
 so the CI smoke step can execute it with the tier-1 requirements only.
@@ -31,7 +33,6 @@ import numpy as np
 from _harness import Q1_DIMS
 
 from repro.core import ParameterSpace
-from repro.core.cost_tensor import CostTensorCache
 from repro.core.partitioning import EarlyTerminatedRobustPartitioning
 from repro.query.cost import PlanCostModel
 from repro.workloads import build_q1
@@ -76,11 +77,12 @@ def _scalar_eval(model, space, plans):
 
 
 def _vectorized_eval(model, space, plans):
-    """One CostTensorCache build: the shared evaluation core."""
-    cache = CostTensorCache(space, model, plans)
-    tensor = cache.cost_tensor
-    load_tensors = [cache.load_tensor(p) for p in range(len(plans))]
-    return cache, tensor, load_tensors
+    """The batch kernels over the full grid's value matrix."""
+    matrix = space.points_matrix(list(space.grid_indices()))
+    names = list(space.names)
+    tensor = np.vstack([model.plan_costs(plan, matrix, names) for plan in plans])
+    load_tensors = [model.operator_loads_batch(plan, matrix, names) for plan in plans]
+    return tensor, load_tensors
 
 
 def _best_of(repeats, fn):
@@ -101,11 +103,11 @@ def test_vectorized_costkernel_speedup():
     scalar_seconds, (scalar_costs, scalar_loads) = _best_of(
         REPEATS, lambda: _scalar_eval(model, space, plans)
     )
-    vector_seconds, (cache, tensor, load_tensors) = _best_of(
+    vector_seconds, (tensor, load_tensors) = _best_of(
         REPEATS, lambda: _vectorized_eval(model, space, plans)
     )
 
-    # Correctness first: the dense tensors must be *bitwise* identical
+    # Correctness first: the batch results must be *bitwise* identical
     # to the scalar results, or every argmin consumer could drift.
     assert np.array_equal(np.asarray(scalar_costs), tensor)
     for p in range(len(plans)):

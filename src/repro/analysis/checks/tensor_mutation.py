@@ -1,19 +1,20 @@
 """``no-cached-tensor-mutation``: cached cost tensors are immutable.
 
-:class:`~repro.core.cost_tensor.CostTensorCache` and
-:meth:`~repro.core.parameter_space.ParameterSpace.grid_matrix` memoize
-arrays that *every* downstream decision — ERP coverage, robustness,
-weights, physical load tables — reads by reference.  One in-place write
-corrupts all of them at once, and NumPy views make it easy to do so
-accidentally three variables away from the cache access.
+:attr:`~repro.core.physical.PlanLoadTable.load_matrix` hands out, by
+reference, the array that *every* support-mask and score query of
+GreedyPhy and OptPrune reads.  One in-place write corrupts all of them
+at once, and NumPy views make it easy to do so accidentally three
+variables away from the cache access.  The rule watches the other
+cache-surface names of :data:`_SOURCES` too, so a producer that
+reappears under one of them is covered from its first line.
 
 The arrays themselves are frozen with ``setflags(write=False)`` (the
 runtime layer of this invariant); this rule is the static layer that
 catches the write *before* it becomes a runtime crash in some distant
 code path.  Per function, it runs a simple forward taint pass:
 
-* reading ``*.grid_matrix()``, ``*.cost_tensor``, ``*.load_tensor(...)``
-  or ``*.plan_ranks`` taints the result;
+* reading an attribute or calling a method named in :data:`_SOURCES`
+  (``*.load_matrix``, ``*.cost_tensor``, ...) taints the result;
 * assignment propagates taint; subscripting/attribute access on a
   tainted value stays tainted (views alias the cache);
 * ``.copy()`` / ``.astype()`` / ``np.array(...)`` and reductions break
@@ -64,8 +65,8 @@ _TAINT_BREAKERS = frozenset(
 class NoCachedTensorMutationRule(Rule):
     name = "no-cached-tensor-mutation"
     description = (
-        "in-place writes to arrays flowing from CostTensorCache / "
-        "ParameterSpace.grid_matrix corrupt every consumer"
+        "in-place writes to arrays flowing from a cache surface "
+        "(e.g. PlanLoadTable.load_matrix) corrupt every consumer"
     )
     scope = ("src/repro",)
 

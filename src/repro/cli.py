@@ -100,11 +100,6 @@ def _print_profile(solution) -> None:
         label = _STAGE_LABELS.get(name, name)
         print(f"  {label:<30} {seconds * 1000:>10.2f} ms  ({share:5.1f}%)")
     print(f"  {'total':<30} {total * 1000:>10.2f} ms")
-    tensor_seconds = solution.logical.tensor_build_seconds
-    tensor = (
-        "not built" if tensor_seconds is None else f"{tensor_seconds * 1000:.2f} ms"
-    )
-    print(f"  {'cost-tensor build (within robustness)':<40} {tensor}")
 
 
 def _cmd_diagram(args: argparse.Namespace) -> int:

@@ -21,7 +21,6 @@ Layered as in the paper:
 """
 
 from repro.core.correlation import CorrelatedOccurrenceModel
-from repro.core.cost_tensor import CostTensorCache, lexicographic_argmin
 from repro.core.diagram import PlanDiagram, compute_plan_diagram
 from repro.core.exhaustive_phy import enumerate_partitions, exhaustive_physical
 from repro.core.greedy_phy import greedy_phy, largest_load_first
@@ -73,7 +72,6 @@ from repro.core.weights import RegionWeights, WeightAssigner
 
 __all__ = [
     "CorrelatedOccurrenceModel",
-    "CostTensorCache",
     "PlanDiagram",
     "compute_plan_diagram",
     "load_solution",
@@ -114,7 +112,6 @@ __all__ = [
     "greedy_phy",
     "grid_optimal_costs",
     "largest_load_first",
-    "lexicographic_argmin",
     "measure_coverage",
     "opt_prune",
     "optimal_costs_vector",

@@ -21,7 +21,6 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from repro.core.cost_tensor import CostTensorCache, lexicographic_argmin
 from repro.core.occurrence import NormalOccurrenceModel
 from repro.core.parameter_space import GridIndex, ParameterSpace, Region
 from repro.query.cost import PlanCostModel
@@ -96,7 +95,6 @@ class RobustLogicalSolution:
         }
         self._discoveries = tuple(discoveries)
         self._cells_cache: dict[LogicalPlan, set[GridIndex]] | None = None
-        self._tensor_cache: CostTensorCache | None = None
 
     @property
     def query(self) -> Query:
@@ -117,32 +115,6 @@ class RobustLogicalSolution:
     def cost_model(self) -> PlanCostModel:
         """Cost model shared by routing and weighting."""
         return self._cost_model
-
-    @property
-    def cost_cache(self) -> CostTensorCache:
-        """The shared dense cost/load tensor cache over this plan set.
-
-        Lazily built; on spaces above :data:`MAX_EXACT_GRID_POINTS` the
-        per-cell scans below use the sampled-matrix path instead, so
-        accessing this on a huge space is the caller's (memory)
-        decision.
-        """
-        if self._tensor_cache is None:
-            self._tensor_cache = CostTensorCache(
-                self._space, self._cost_model, self._plans
-            )
-        return self._tensor_cache
-
-    @property
-    def tensor_build_seconds(self) -> float | None:
-        """Seconds spent building dense cost/load tensors so far.
-
-        None when no per-cell scan has built a tensor yet; used by the
-        CLI's ``compile --profile`` breakdown.
-        """
-        if self._tensor_cache is None:
-            return None
-        return self._tensor_cache.build_seconds
 
     @property
     def discoveries(self) -> tuple[PlanDiscovery, ...]:
@@ -184,7 +156,7 @@ class RobustLogicalSolution:
         including the space corners), since high-dimensional grids are
         exponentially large.
         """
-        if self._space.n_points <= MAX_EXACT_GRID_POINTS:
+        if not self.uses_sampled_grid:
             return list(self._space.grid_indices())
         rng = derive_rng(20121107)  # fixed: results must be stable
         shape = self._space.shape
@@ -210,31 +182,23 @@ class RobustLogicalSolution:
         spaces larger than :data:`MAX_EXACT_GRID_POINTS` the scan uses
         the deterministic sample of :meth:`_representative_indices`.
 
-        Computed as one argmin over the dense cost tensor (with the
-        same ``(cost, plan.order)`` tie-break as :meth:`best_plan_at`)
-        rather than a scalar cost call per (plan, point) pair.
+        Computed as one columnwise argmin over a ``(plans × scanned
+        points)`` batch cost matrix rather than a scalar cost call per
+        (plan, point) pair.  Rows are sorted by ``plan.order`` and
+        ``argmin`` keeps the first of tied minima, which is the
+        ``(cost, plan.order)`` tie-break of :meth:`best_plan_at`.
         """
         if self._cells_cache is None:
             indices = self._representative_indices()
-            if self.uses_sampled_grid:
-                # Batch-evaluate only the sampled rows; never build the
-                # full (exponentially large) grid tensor.
-                matrix = self._space.points_matrix(indices)
-                names = list(self._space.names)
-                costs = np.vstack(
-                    [
-                        self._cost_model.plan_costs(plan, matrix, names)
-                        for plan in self._plans
-                    ]
-                )
-                best = lexicographic_argmin([costs], self.cost_cache.plan_ranks)
-            else:
-                # Exact grids scan every index in row-major order, which
-                # is exactly the cost tensor's column order.
-                best = self.cost_cache.best_plan_per_point()
+            ordered = sorted(self._plans, key=lambda plan: plan.order)
+            matrix = self._space.points_matrix(indices)
+            names = list(self._space.names)
+            costs = np.vstack(
+                [self._cost_model.plan_costs(plan, matrix, names) for plan in ordered]
+            )
             cells: dict[LogicalPlan, set[GridIndex]] = {p: set() for p in self._plans}
-            for index, plan_index in zip(indices, best):
-                cells[self._plans[plan_index]].add(index)
+            for index, row in zip(indices, costs.argmin(axis=0)):
+                cells[ordered[row]].add(index)
             self._cells_cache = cells
         return {plan: set(cells) for plan, cells in self._cells_cache.items()}
 

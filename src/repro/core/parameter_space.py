@@ -129,7 +129,6 @@ class ParameterSpace:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate dimension names: {names}")
         self._dimensions = tuple(dimensions)
-        self._grid_matrix: FloatArray | None = None
 
     @classmethod
     def from_estimates(
@@ -207,13 +206,12 @@ class ParameterSpace:
         return iter_product(*(range(d.steps) for d in self._dimensions))
 
     # ------------------------------------------------------------------
-    # Dense-grid views (the vectorized evaluation core's substrate)
+    # Flat positions and value matrices (batch cost-kernel inputs)
     # ------------------------------------------------------------------
 
     def flat_index(self, index: GridIndex) -> int:
-        """Row-major flat position of ``index`` — the row of
-        :meth:`grid_matrix` (and the column of any cost tensor) holding
-        that grid point."""
+        """Row-major flat position of ``index`` in :meth:`grid_indices`
+        order."""
         flat = 0
         for i, d in zip(index, self._dimensions):
             flat = flat * d.steps + i
@@ -229,28 +227,14 @@ class ParameterSpace:
             flat //= d.steps
         return tuple(reversed(index))
 
-    def grid_matrix(self) -> FloatArray:
-        """The full grid as a dense ``(n_points, n_dims)`` float array.
-
-        Row ``k`` holds the parameter values of the ``k``-th grid index
-        in row-major (:meth:`grid_indices`) order; columns follow
-        :attr:`names`.  Values are bitwise identical to
-        :meth:`Dimension.value`, and the array is built once and cached
-        (read-only) — it is the substrate every vectorized cost kernel
-        indexes into.
-        """
-        if self._grid_matrix is None:
-            columns = np.meshgrid(
-                *(d.values_array() for d in self._dimensions), indexing="ij"
-            )
-            matrix = np.column_stack([c.reshape(-1) for c in columns])
-            matrix.setflags(write=False)
-            self._grid_matrix = matrix
-        return self._grid_matrix
-
     def points_matrix(self, indices: Sequence[GridIndex]) -> FloatArray:
-        """Dense ``(len(indices), n_dims)`` value matrix for a subset of
-        grid indices (same column order as :meth:`grid_matrix`)."""
+        """Dense ``(len(indices), n_dims)`` value matrix of grid indices.
+
+        Row ``k`` holds the parameter values of ``indices[k]``; columns
+        follow :attr:`names`.  Values are bitwise identical to
+        :meth:`Dimension.value` — the input every batch cost kernel
+        evaluates.
+        """
         idx = np.asarray(list(indices), dtype=np.intp).reshape(-1, self.n_dims)
         return np.column_stack(
             [d.values_array()[idx[:, i]] for i, d in enumerate(self._dimensions)]

@@ -23,7 +23,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.cost_tensor import CostTensorCache
 from repro.core.parameter_space import GridIndex, ParameterSpace, Region
 from repro.query.cost import PlanCostModel
 from repro.query.optimizer import PointOptimizer
@@ -146,13 +145,26 @@ def optimal_costs_vector(
     """Dense ``(n_points,)`` view of a per-index optimal-cost mapping.
 
     Entries follow the row-major order of ``space.grid_indices()`` —
-    the column order of every :class:`CostTensorCache` tensor.
+    the column order of :func:`_grid_costs`.
     """
     return np.fromiter(
         (optimal_costs[index] for index in space.grid_indices()),
         dtype=float,
         count=space.n_points,
     )
+
+
+def _grid_costs(
+    plans: Sequence[LogicalPlan], space: ParameterSpace, cost_model: PlanCostModel
+) -> FloatArray:
+    """``(len(plans), n_points)`` batch plan costs over the whole grid.
+
+    Columns follow ``space.grid_indices()``; entries are bitwise equal
+    to ``cost_model.plan_cost`` at each grid point.
+    """
+    matrix = space.points_matrix(list(space.grid_indices()))
+    names = list(space.names)
+    return np.vstack([cost_model.plan_costs(plan, matrix, names) for plan in plans])
 
 
 def _robust_mask(
@@ -177,26 +189,18 @@ def covered_indices(
     cost_model: PlanCostModel,
     optimal_costs: Mapping[GridIndex, float],
     epsilon: float,
-    *,
-    cache: CostTensorCache | None = None,
 ) -> set[GridIndex]:
     """Grid indices where at least one plan in the set is ε-robust.
 
     A point is covered when the cheapest plan *from the given set* is
     within ``(1 + ε)`` of the true optimum there — exactly the runtime
     classifier's semantics (it always routes a batch to the best plan
-    in the robust logical solution).  Evaluated on the dense cost
-    tensor; pass ``cache`` to reuse tensors across repeated evaluations
-    of overlapping plan sets (e.g. the Figure 11 budget sweep).
+    in the robust logical solution).
     """
     plans = list(plans)
     if not plans:
         return set()
-    if cache is None:
-        cache = CostTensorCache(space, cost_model, plans)
-        best = cache.min_costs()
-    else:
-        best = cache.min_costs([cache.plan_index(plan) for plan in plans])
+    best = _grid_costs(plans, space, cost_model).min(axis=0)
     return _indices_of_mask(space, _robust_mask(best, space, optimal_costs, epsilon))
 
 
@@ -206,13 +210,9 @@ def measure_coverage(
     cost_model: PlanCostModel,
     optimal_costs: Mapping[GridIndex, float],
     epsilon: float,
-    *,
-    cache: CostTensorCache | None = None,
 ) -> float:
     """Fraction of grid points ε-covered by the plan set (0.0–1.0)."""
-    covered = covered_indices(
-        plans, space, cost_model, optimal_costs, epsilon, cache=cache
-    )
+    covered = covered_indices(plans, space, cost_model, optimal_costs, epsilon)
     return len(covered) / space.n_points
 
 
@@ -222,13 +222,9 @@ def robust_region_of_plan(
     cost_model: PlanCostModel,
     optimal_costs: Mapping[GridIndex, float],
     epsilon: float,
-    *,
-    cache: CostTensorCache | None = None,
 ) -> set[GridIndex]:
     """Exact robust region of one plan: all indices satisfying Def. 1."""
-    if cache is None:
-        cache = CostTensorCache(space, cost_model, [plan])
-    costs = cache.cost_tensor[cache.plan_index(plan)]
+    costs = _grid_costs([plan], space, cost_model)[0]
     return _indices_of_mask(space, _robust_mask(costs, space, optimal_costs, epsilon))
 
 
@@ -245,18 +241,18 @@ def coverage_against_sequence(
     ``plan_sequence`` pairs each *distinct* plan with the cumulative
     optimizer-call count at which the algorithm discovered it; the
     result lists, for each budget, the coverage of all plans found at
-    or under that many calls — the series plotted in Figure 11.
+    or under that many calls — the series plotted in Figure 11.  The
+    cost matrix is built once and each budget takes a row subset.
     """
-    all_plans = [plan for _, plan in plan_sequence]
-    cache = (
-        CostTensorCache(space, cost_model, all_plans) if all_plans else None
-    )
+    if not plan_sequence:
+        return [0.0 for _ in budgets]
+    costs = _grid_costs([plan for _, plan in plan_sequence], space, cost_model)
     results = []
     for budget in budgets:
-        plans = [plan for calls, plan in plan_sequence if calls <= budget]
-        results.append(
-            measure_coverage(
-                plans, space, cost_model, optimal_costs, epsilon, cache=cache
-            )
-        )
+        rows = [i for i, (calls, _) in enumerate(plan_sequence) if calls <= budget]
+        if not rows:
+            results.append(0.0)
+            continue
+        mask = _robust_mask(costs[rows].min(axis=0), space, optimal_costs, epsilon)
+        results.append(int(mask.sum()) / space.n_points)
     return results

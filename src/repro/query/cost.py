@@ -184,7 +184,7 @@ class PlanCostModel:
 
         ``values`` is a ``(n_points, len(names))`` matrix whose columns
         are the parameters listed in ``names`` (e.g. a
-        :meth:`~repro.core.parameter_space.ParameterSpace.grid_matrix`);
+        :meth:`~repro.core.parameter_space.ParameterSpace.points_matrix`);
         parameters not present fall back to their defaults, exactly as
         in :meth:`plan_cost`.  Returns an ``(n_points,)`` cost vector.
         """

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.core.physical import PhysicalPlan
 from repro.core.rld import RLDSolution
 from repro.engine.system import StreamSimulator
 from repro.query.statistics import StatPoint
@@ -65,6 +66,20 @@ class RLDHybridStrategy(RLDStrategy):
         self._last_migration = -float("inf")
         self._last_busy: list[float] | None = None
         self._last_tick_time = 0.0
+
+    @property
+    def placement(self) -> PhysicalPlan:
+        """The live placement: the compiled one plus fallback migrations.
+
+        The simulator starts each run from this placement, so a reused
+        strategy starts on the placement its classifier prices.
+        """
+        return PhysicalPlan(
+            tuple(
+                frozenset(op for op, node in self._node_of.items() if node == i)
+                for i in range(len(self._capacities))
+            )
+        )
 
     def in_compiled_space(self, stats: StatPoint) -> bool:
         """True when every monitored dimension is inside the space box."""

@@ -9,8 +9,9 @@ from repro.core import (
     ParameterSpace,
     RobustLogicalSolution,
 )
-from repro.core.logical import PlanDiscovery
-from repro.query import LogicalPlan, PlanCostModel
+from repro.core.logical import MAX_EXACT_GRID_POINTS, PlanDiscovery
+from repro.core.parameter_space import Dimension
+from repro.query import LogicalPlan, Operator, PlanCostModel, Query
 
 
 @pytest.fixture
@@ -80,6 +81,61 @@ class TestRouting:
         # The fixture's two plans are the corner optima.
         assert lo_plan == LogicalPlan((3, 2, 1, 0))
         assert hi_plan == LogicalPlan((3, 1, 2, 0))
+
+
+def _tie_solution(steps: int) -> RobustLogicalSolution:
+    """Three plans over a ``steps``³ grid; two of them tie exactly.
+
+    Operators 0 and 1 share cost and selectivity and are not space
+    dimensions, so ``(1, 0, 2, 3)`` and ``(0, 1, 2, 3)`` cost the same
+    bit for bit everywhere; ``(2, 3, 0, 1)`` wins at low selectivities.
+    The tied pair is listed in reverse order so that the tie-break, not
+    construction order, must pick ``(0, 1, 2, 3)``.
+    """
+    query = Query(
+        "ties",
+        (
+            Operator(op_id=0, name="a", cost_per_tuple=2.0, selectivity=0.5),
+            Operator(op_id=1, name="b", cost_per_tuple=2.0, selectivity=0.5),
+            Operator(op_id=2, name="c", cost_per_tuple=1.0, selectivity=0.6),
+            Operator(op_id=3, name="d", cost_per_tuple=1.5, selectivity=0.6),
+        ),
+    )
+    space = ParameterSpace(
+        [
+            Dimension("sel:2", 0.2, 1.4, steps),
+            Dimension("sel:3", 0.2, 1.4, steps),
+            Dimension("rate", 80.0, 120.0, steps),
+        ]
+    )
+    plans = [
+        LogicalPlan((1, 0, 2, 3)),
+        LogicalPlan((2, 3, 0, 1)),
+        LogicalPlan((0, 1, 2, 3)),
+    ]
+    return RobustLogicalSolution(query, space, plans)
+
+
+class TestPlanCellTieBreak:
+    @pytest.mark.parametrize("steps", [9, 30], ids=["exact", "sampled"])
+    def test_plan_cells_agree_with_best_plan_at(self, steps):
+        solution = _tie_solution(steps)
+        space = solution.space
+        assert solution.uses_sampled_grid == (space.n_points > MAX_EXACT_GRID_POINTS)
+        assert solution.uses_sampled_grid == (steps == 30)
+        cells = solution.plan_cells()
+        scanned = solution._representative_indices()
+        assert sorted(i for c in cells.values() for i in c) == sorted(scanned)
+        for plan, plan_cells in cells.items():
+            for index in plan_cells:
+                assert solution.best_plan_at(space.point_at(index)) == plan
+
+        later, low, first = solution.plans
+        model = solution.cost_model
+        point = space.point_at(next(iter(cells[first])))
+        assert model.plan_cost(first, point) == model.plan_cost(later, point)
+        assert cells[first] and cells[low]
+        assert not cells[later]
 
 
 class TestWeights:

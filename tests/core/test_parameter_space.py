@@ -120,21 +120,18 @@ class TestParameterSpace:
         with pytest.raises(IndexError):
             space_2d.index_of_flat(space_2d.n_points)
 
-    def test_grid_matrix_rows_match_point_at(self, space_2d):
-        matrix = space_2d.grid_matrix()
+    def test_points_matrix_rows_match_point_at(self, space_2d):
+        matrix = space_2d.points_matrix(list(space_2d.grid_indices()))
         assert matrix.shape == (space_2d.n_points, space_2d.n_dims)
-        assert space_2d.grid_matrix() is matrix  # cached
         for flat, index in enumerate(space_2d.grid_indices()):
             point = space_2d.point_at(index)
             for col, name in enumerate(space_2d.names):
                 assert matrix[flat, col] == point[name]
-        with pytest.raises(ValueError):
-            matrix[0, 0] = 99.0
 
     def test_points_matrix_subset(self, space_2d):
         indices = list(space_2d.grid_indices())[:: 3]
         matrix = space_2d.points_matrix(indices)
-        full = space_2d.grid_matrix()
+        full = space_2d.points_matrix(list(space_2d.grid_indices()))
         flats = [space_2d.flat_index(i) for i in indices]
         assert np.array_equal(matrix, full[flats])
 

@@ -13,7 +13,8 @@ from repro.core import (
     robust_region_of_plan,
 )
 from repro.core.parameter_space import Region
-from repro.query import PlanCostModel, make_optimizer
+from repro.core.robustness import coverage_against_sequence
+from repro.query import LogicalPlan, PlanCostModel, make_optimizer
 
 
 @pytest.fixture
@@ -113,6 +114,44 @@ class TestCoverage:
         loose = measure_coverage([plan], space, model, optimal_costs, 0.5)
         assert loose >= tight
         assert loose > 0.0
+
+    def test_coverage_over_plan_subset(self, setup):
+        query, space, optimizer = setup
+        oracle = make_optimizer(query)
+        optimal_costs = grid_optimal_costs(space, oracle)
+        model = PlanCostModel(query)
+        region = space.full_region()
+        sequence = [
+            (1, oracle.optimize(region.pnt_lo)),
+            (2, LogicalPlan((1, 2, 0))),
+            (3, oracle.optimize(region.pnt_hi)),
+        ]
+        # A point is covered when the cheapest plan of the subset is
+        # within (1 + ε) of the optimum there — the scalar definition.
+        subset = [sequence[0][1], sequence[2][1]]
+        expected = {
+            index
+            for index in space.grid_indices()
+            if min(model.plan_cost(p, space.point_at(index)) for p in subset)
+            <= 1.1 * optimal_costs[index] * (1 + 1e-12)
+        }
+        assert covered_indices(subset, space, model, optimal_costs, 0.1) == expected
+        # Each budget of the sweep covers exactly its own plan subset.
+        budgets = [0, 1, 2, 3]
+        sweep = coverage_against_sequence(
+            sequence, budgets, space, model, optimal_costs, 0.1
+        )
+        assert sweep == [
+            measure_coverage(
+                [p for calls, p in sequence if calls <= budget],
+                space,
+                model,
+                optimal_costs,
+                0.1,
+            )
+            for budget in budgets
+        ]
+        assert sweep[0] == 0.0
 
     def test_covered_indices_subset_of_grid(self, setup):
         query, space, optimizer = setup

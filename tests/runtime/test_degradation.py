@@ -162,12 +162,14 @@ class TestRoutingTableUnderFaults:
             assert tabled.route(10.0, point).plan == live._route_live(point)
 
     def test_routing_never_builds_the_grid_matrix(self, compiled, monkeypatch):
+        # Any whole-grid value matrix starts from grid_indices(); routing
+        # evaluates single cells only.
         query, estimate, cluster, solution = compiled
 
         def refuse(self):
-            raise AssertionError("routing must not build the grid matrix")
+            raise AssertionError("routing must not walk the whole grid")
 
-        monkeypatch.setattr(ParameterSpace, "grid_matrix", refuse)
+        monkeypatch.setattr(ParameterSpace, "grid_indices", refuse)
         strategy = RLDStrategy(solution)
         stats = estimate.point
         preferred = strategy.route(0.0, stats).plan

@@ -86,9 +86,28 @@ class TestRuntimeBehaviour:
         )
         report = simulator.run(120.0)
         assert report.migrations >= 1
-        compiled = {op: strategy.placement.node_of(op) for op in query.operator_ids}
+        physical = solution.physical.physical_plan
+        compiled = {op: physical.node_of(op) for op in query.operator_ids}
         assert simulator.current_placement != compiled
         assert strategy._node_of == simulator.current_placement
+
+    def test_placement_reports_the_migrated_placement(self, solution):
+        # The simulator starts a run from strategy.placement, so after
+        # fallback migrations it must be the live placement, not the
+        # compiled one.
+        query = solution.query
+        strategy = RLDHybridStrategy(
+            solution, saturation_threshold=0.8, cooldown_seconds=10.0
+        )
+        workload = Workload(query, rate_profile=ConstantRate(4.0))
+        simulator = StreamSimulator(
+            query, solution.cluster, strategy, workload, seed=3
+        )
+        assert simulator.run(120.0).migrations >= 1
+        placement = strategy.placement
+        assert placement.n_nodes == solution.cluster.n_nodes
+        live = {op: placement.node_of(op) for op in query.operator_ids}
+        assert live == simulator.current_placement
 
     def test_routing_identical_to_pure_rld(self, solution):
         pure = RLDStrategy(solution)
