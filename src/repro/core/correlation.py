@@ -13,7 +13,7 @@ and plan weights computed under independence misrank the robust plans.
 :class:`CorrelatedOccurrenceModel` implements the extension: a
 multivariate-normal occurrence distribution with an arbitrary
 correlation matrix, exposing the same ``cell_probability`` /
-``region_probability`` interface as
+``cell_probabilities`` / ``region_probability`` interface as
 :class:`~repro.core.occurrence.NormalOccurrenceModel`, so it drops
 straight into ``RobustLogicalSolution.plan_weights`` and the physical
 planners.  Box masses are computed by inclusion–exclusion over the
@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.core.parameter_space import GridIndex, ParameterSpace, Region
 from repro.util.validation import ensure_positive
-from repro.util.types import FloatArray
+from repro.util.types import FloatArray, IntArray
 
 __all__ = ["CorrelatedOccurrenceModel"]
 
@@ -146,6 +146,17 @@ class CorrelatedOccurrenceModel:
                 position, index[dim_index], index[dim_index]
             )
         return self._box_mass(lows, highs)
+
+    def cell_probabilities(self, indices: IntArray) -> FloatArray:
+        """Masses of the ``(n, n_dims)`` grid indices, one per row.
+
+        Correlated dimensions do not factor, so this loops over
+        :meth:`cell_probability`.
+        """
+        idx = np.asarray(indices, dtype=np.intp).reshape(-1, self._space.n_dims)
+        return np.array(
+            [self.cell_probability(tuple(row)) for row in idx.tolist()], dtype=float
+        )
 
     def region_probability(self, region: Region) -> float:
         """Probability mass of an axis-aligned region."""

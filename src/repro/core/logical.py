@@ -21,13 +21,13 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from repro.core.occurrence import NormalOccurrenceModel
+from repro.core.occurrence import NormalOccurrenceModel, OccurrenceModel
 from repro.core.parameter_space import GridIndex, ParameterSpace, Region
 from repro.query.cost import PlanCostModel
 from repro.query.model import Query
 from repro.query.plans import LogicalPlan
 from repro.util.rng import derive_rng
-from repro.query.statistics import StatPoint
+from repro.util.types import IntArray
 
 __all__ = ["RobustLogicalSolution", "PlanDiscovery"]
 
@@ -49,6 +49,23 @@ class PlanDiscovery:
 
     plan: LogicalPlan
     at_call: int
+
+
+@dataclass(frozen=True)
+class _PlanScan:
+    """The plan-cell partition of the scanned grid points.
+
+    ``indices`` lists the scanned grid indices in sorted order and
+    ``index_array`` holds the same indices as rows; ``owner[k]`` is the
+    position (in the solution's plan tuple) of the cheapest plan at row
+    ``k``.  ``cells`` is the same partition as sets of index tuples,
+    built by adding the rows in order.
+    """
+
+    indices: list[GridIndex]
+    index_array: IntArray
+    owner: IntArray
+    cells: dict[LogicalPlan, set[GridIndex]]
 
 
 class RobustLogicalSolution:
@@ -94,7 +111,8 @@ class RobustLogicalSolution:
             plan: list(regions) for plan, regions in (verified_regions or {}).items()
         }
         self._discoveries = tuple(discoveries)
-        self._cells_cache: dict[LogicalPlan, set[GridIndex]] | None = None
+        self._position = {plan: i for i, plan in enumerate(self._plans)}
+        self._scan_cache: _PlanScan | None = None
 
     @property
     def query(self) -> Query:
@@ -148,26 +166,31 @@ class RobustLogicalSolution:
             key=lambda plan: (self._cost_model.plan_cost(plan, point), plan.order),
         )
 
-    def _representative_indices(self) -> list[GridIndex]:
-        """Grid indices scanned by per-cell operations.
+    def _representative_indices(self) -> IntArray:
+        """Grid indices scanned by per-cell operations, one per row.
 
         The full grid when it is small; otherwise a deterministic
         uniform sample of :data:`GRID_SAMPLE_SIZE` indices (always
         including the space corners), since high-dimensional grids are
-        exponentially large.
+        exponentially large.  Rows are distinct and sorted as index
+        tuples sort.
         """
-        if not self.uses_sampled_grid:
-            return list(self._space.grid_indices())
-        rng = derive_rng(20121107)  # fixed: results must be stable
         shape = self._space.shape
-        sample = {
-            tuple(int(rng.integers(0, s)) for s in shape)
-            for _ in range(GRID_SAMPLE_SIZE)
-        }
+        if not self.uses_sampled_grid:
+            # Row-major enumeration: already sorted.
+            return np.indices(shape, dtype=np.intp).reshape(len(shape), -1).T
+        rng = derive_rng(20121107)  # fixed: results must be stable
+        # One call draws the same stream as a scalar draw per
+        # (sample, dimension) pair in row-major order.
+        draws = rng.integers(0, shape, size=(GRID_SAMPLE_SIZE, len(shape)))
         full = self._space.full_region()
-        sample.add(full.lo)
-        sample.add(full.hi)
-        return sorted(sample)
+        rows = np.vstack([draws, np.array([full.lo, full.hi])]).astype(np.intp)
+        # Sort rows as tuples sort (first column primary), then drop
+        # repeats: the rows of sorted(set(...)) over the index tuples.
+        rows = rows[np.lexsort(rows.T[::-1])]
+        distinct = np.ones(len(rows), dtype=bool)
+        distinct[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        return rows[distinct]
 
     @property
     def uses_sampled_grid(self) -> bool:
@@ -188,26 +211,46 @@ class RobustLogicalSolution:
         ``argmin`` keeps the first of tied minima, which is the
         ``(cost, plan.order)`` tie-break of :meth:`best_plan_at`.
         """
-        if self._cells_cache is None:
-            indices = self._representative_indices()
+        return {plan: set(cells) for plan, cells in self._scan().cells.items()}
+
+    def _scan(self) -> _PlanScan:
+        """The memoized plan-cell partition behind :meth:`plan_cells`."""
+        if self._scan_cache is None:
+            index_array = self._representative_indices()
+            indices: list[GridIndex] = list(map(tuple, index_array.tolist()))
             ordered = sorted(self._plans, key=lambda plan: plan.order)
-            matrix = self._space.points_matrix(indices)
+            matrix = self._space.points_matrix(index_array)
             names = list(self._space.names)
             costs = np.vstack(
                 [self._cost_model.plan_costs(plan, matrix, names) for plan in ordered]
             )
-            cells: dict[LogicalPlan, set[GridIndex]] = {p: set() for p in self._plans}
-            for index, row in zip(indices, costs.argmin(axis=0)):
-                cells[ordered[row]].add(index)
-            self._cells_cache = cells
-        return {plan: set(cells) for plan, cells in self._cells_cache.items()}
+            positions = np.array([self._position[plan] for plan in ordered], dtype=np.intp)
+            owner = positions[costs.argmin(axis=0)]
+            # Shared with every weight and load pass: read-only.
+            index_array.setflags(write=False)
+            owner.setflags(write=False)
+            sets: list[set[GridIndex]] = [set() for _ in self._plans]
+            for index, position in zip(indices, owner.tolist()):
+                sets[position].add(index)
+            self._scan_cache = _PlanScan(
+                indices, index_array, owner, dict(zip(self._plans, sets))
+            )
+        return self._scan_cache
+
+    def _rows_of(self, plan: LogicalPlan) -> IntArray:
+        """Sorted scanned grid indices whose cheapest plan is ``plan``."""
+        scan = self._scan()
+        position = self._position.get(plan)
+        if position is None:
+            return scan.index_array[:0]
+        return scan.index_array[scan.owner == position]
 
     # ------------------------------------------------------------------
     # Plan weights (§5.2)
     # ------------------------------------------------------------------
 
     def plan_weights(
-        self, occurrence: NormalOccurrenceModel | None = None
+        self, occurrence: OccurrenceModel | None = None
     ) -> dict[LogicalPlan, float]:
         """Occurrence-probability weight of each plan's region.
 
@@ -216,13 +259,19 @@ class RobustLogicalSolution:
         means at the estimate point.
         """
         model = occurrence or NormalOccurrenceModel(self._space)
+        scan = self._scan()
+        mass_of = dict(
+            zip(scan.indices, model.cell_probabilities(scan.index_array).tolist())
+        )
+        # Builtin sum over each copied set, in its iteration order: the
+        # order (and Python's own float sum) fixes the weights' last bit.
         cells = self.plan_cells()
         scanned = sum(len(c) for c in cells.values())
         # Unbiased estimator on sampled grids: scale each plan's sampled
         # mass by (grid points / points scanned); exact grids scale by 1.
         scale = self._space.n_points / scanned if scanned else 1.0
         return {
-            plan: scale * sum(model.cell_probability(index) for index in plan_cells)
+            plan: scale * sum([mass_of[index] for index in plan_cells])
             for plan, plan_cells in cells.items()
         }
 
@@ -248,11 +297,11 @@ class RobustLogicalSolution:
         cells of its own (possible when another plan dominates it
         everywhere).
         """
-        cells = self.plan_cells().get(plan, set())
-        if not cells:
+        rows = self._rows_of(plan)
+        if not len(rows):
             point = self._space.full_region().pnt_hi
             return dict(self._cost_model.operator_loads(plan, point))
-        matrix = self._space.points_matrix(sorted(cells))
+        matrix = self._space.points_matrix(rows)
         batch = self._cost_model.operator_loads_batch(
             plan, matrix, list(self._space.names)
         )
@@ -262,7 +311,7 @@ class RobustLogicalSolution:
         }
 
     def expected_loads(
-        self, plan: LogicalPlan, occurrence: NormalOccurrenceModel | None = None
+        self, plan: LogicalPlan, occurrence: OccurrenceModel | None = None
     ) -> dict[int, float]:
         """Occurrence-weighted mean per-operator load over a plan's cells.
 
@@ -273,19 +322,14 @@ class RobustLogicalSolution:
         worst case.
         """
         model = occurrence or NormalOccurrenceModel(self._space)
-        cells = self.plan_cells().get(plan, set())
-        if not cells:
+        rows = self._rows_of(plan)
+        if not len(rows):
             point = self._space.point_at(
                 tuple(s // 2 for s in self._space.shape)
             )
             return self._cost_model.operator_loads(plan, point)
-        ordered = sorted(cells)
-        weights = np.fromiter(
-            (model.cell_probability(index) for index in ordered),
-            dtype=float,
-            count=len(ordered),
-        )
-        matrix = self._space.points_matrix(ordered)
+        weights = model.cell_probabilities(rows)
+        matrix = self._space.points_matrix(rows)
         batch = self._cost_model.operator_loads_batch(
             plan, matrix, list(self._space.names)
         )

@@ -7,16 +7,25 @@ normal: the mean is the point estimate (the centre of the dimension)
 and the standard deviation reflects the uncertainty level.  The mass of
 a grid cell is the product over dimensions of the normal probability of
 the cell's value interval — ``Pr(area) = Pr_x(area) · Pr_y(area)``.
+
+Because the mass factors per dimension, each dimension's single-cell
+masses are tabulated once, and a cell's mass is a product of table
+lookups taken in dimension order — the same float operations whether
+one cell is asked for (:meth:`NormalOccurrenceModel.cell_probability`)
+or a whole index array (:meth:`NormalOccurrenceModel.cell_probabilities`).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from typing import Mapping, Protocol
+
+import numpy as np
 
 from repro.core.parameter_space import GridIndex, ParameterSpace, Region
+from repro.util.types import FloatArray, IntArray
 
-__all__ = ["NormalOccurrenceModel"]
+__all__ = ["NormalOccurrenceModel", "OccurrenceModel"]
 
 #: Fraction of a dimension's half-width used as one standard deviation.
 #: 0.5 puts the space edge at 2σ, leaving ~4.6% of mass outside the
@@ -27,6 +36,30 @@ DEFAULT_SIGMA_FRACTION = 0.5
 def _standard_normal_cdf(z: float) -> float:
     """Φ(z) via the error function (no SciPy dependency)."""
     return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+
+
+class OccurrenceModel(Protocol):
+    """What plan weights and load tables need from an occurrence model.
+
+    Satisfied by :class:`NormalOccurrenceModel` (§5.2) and by
+    :class:`~repro.core.correlation.CorrelatedOccurrenceModel`.
+    """
+
+    def cell_probability(self, index: GridIndex) -> float:
+        """Probability mass of the single grid cell at ``index``."""
+        ...
+
+    def cell_probabilities(self, indices: IntArray) -> FloatArray:
+        """Masses of the ``(n, n_dims)`` grid indices, one per row."""
+        ...
+
+    def region_probability(self, region: Region) -> float:
+        """Probability mass of an axis-aligned region."""
+        ...
+
+    def total_mass(self) -> float:
+        """Mass of the whole space."""
+        ...
 
 
 class NormalOccurrenceModel:
@@ -67,6 +100,12 @@ class NormalOccurrenceModel:
                 sigma = sigma_fraction * half_width
             self._means.append(mean)
             self._sigmas.append(sigma)
+        # One single-cell mass per grid index and dimension; every cell
+        # mass is a dimension-order product of entries of these tables.
+        self._tables: list[FloatArray] = [
+            np.array([self._dim_probability(d, i, i) for i in range(dim.steps)])
+            for d, dim in enumerate(space.dimensions)
+        ]
 
     @property
     def space(self) -> ParameterSpace:
@@ -99,9 +138,25 @@ class NormalOccurrenceModel:
 
     def cell_probability(self, index: GridIndex) -> float:
         """Probability mass of the single grid cell at ``index``."""
-        mass = 1.0
-        for dim, i in enumerate(index):
-            mass *= self._dim_probability(dim, i, i)
+        return float(self.cell_probabilities(np.array([index], dtype=np.intp))[0])
+
+    def cell_probabilities(self, indices: IntArray) -> FloatArray:
+        """Masses of the ``(n, n_dims)`` grid indices, one per row.
+
+        Multiplies the per-dimension table entries in dimension order,
+        starting from 1.0, so every entry is bitwise equal to the scalar
+        product ``Π_d Pr_d(index_d)``.
+        """
+        idx = np.asarray(indices, dtype=np.intp)
+        if idx.ndim != 2 or idx.shape[1] != len(self._tables):
+            raise ValueError(
+                f"expected an (n, {len(self._tables)}) index array, got shape {idx.shape}"
+            )
+        if idx.size and idx.min() < 0:
+            raise IndexError("grid indices must be non-negative")
+        mass = np.ones(len(idx))
+        for dim, table in enumerate(self._tables):
+            mass = mass * table[idx[:, dim]]
         return mass
 
     def region_probability(self, region: Region) -> float:

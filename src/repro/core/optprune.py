@@ -11,7 +11,8 @@ configuration at a time.  Two facts make the search tractable:
 * **GreedyPhy as the initial bound** — Algorithm 5 seeds the incumbent
   with GreedyPhy's solution, so most branches die immediately; the
   result equals exhaustive search (Figure 14) at a fraction of the time
-  (Figure 13).
+  (Figure 13).  When GreedyPhy already supports every plan no branch
+  can beat it, so the configuration enumeration is skipped altogether.
 
 Machine symmetry (homogeneous cluster) is broken canonically: each new
 configuration must contain the lowest-indexed still-unplaced operator,
@@ -44,6 +45,16 @@ __all__ = [
 _MAX_OPERATORS = 18
 
 
+def _check_operator_count(table: PlanLoadTable, algorithm: str) -> None:
+    """Refuse tables too large for the O(2^m) subset search."""
+    n_ops = len(table.operator_ids)
+    if n_ops > _MAX_OPERATORS:
+        raise ValueError(
+            f"{algorithm} supports at most {_MAX_OPERATORS} "
+            f"operators, got {n_ops}"
+        )
+
+
 def _subset_loads(table: PlanLoadTable) -> tuple[list[int], FloatArray]:
     """Per-plan total loads for every operator subset (bitmask indexed).
 
@@ -56,12 +67,8 @@ def _subset_loads(table: PlanLoadTable) -> tuple[list[int], FloatArray]:
     downstream absorb the last-ulp difference from the old
     lowest-bit-last order).
     """
+    _check_operator_count(table, "OptPrune")
     ops = list(table.operator_ids)
-    if len(ops) > _MAX_OPERATORS:
-        raise ValueError(
-            f"OptPrune subset tables support at most {_MAX_OPERATORS} "
-            f"operators, got {len(ops)}"
-        )
     n_plans = table.n_plans
     singles = table.load_matrix  # (n_plans, m), column j = operator ops[j]
     loads = np.zeros((n_plans, 1 << len(ops)))
@@ -166,14 +173,20 @@ def opt_prune(
     of every supported plan) but the load is spread evenly, which
     matters for runtime queueing.  Score and supported plans — the
     quantities Figures 13–14 compare — are identical either way.
+
+    When GreedyPhy (the initial bound) already supports every plan, no
+    partition can score higher: its result is returned as is, with
+    ``nodes_explored == 0`` and no configuration enumeration.
     """
     watch = Stopwatch()
     capacity = cluster.uniform_capacity
+    # Checked before the greedy exit too, so an oversized query fails the
+    # same way whether or not GreedyPhy happens to support every plan.
+    _check_operator_count(table, "OptPrune")
     n_nodes = cluster.n_nodes
     ops = list(table.operator_ids)
     all_ops_mask = (1 << len(ops)) - 1
 
-    configs = enumerate_feasible_configs(table, capacity)
     greedy = greedy_phy(table, cluster)
     best_score = greedy.score
     best_assignment: list[int] | None = None
@@ -181,6 +194,23 @@ def opt_prune(
     full_score = table.score(table.full_mask)
     nodes_explored = 0
 
+    def greedy_result() -> PhysicalPlanResult:
+        """GreedyPhy's answer, reported as OptPrune's."""
+        return PhysicalPlanResult(
+            algorithm="OptPrune",
+            physical_plan=greedy.physical_plan,
+            supported_plans=greedy.supported_plans,
+            score=greedy.score,
+            compile_seconds=watch.seconds,
+            nodes_explored=nodes_explored,
+        )
+
+    if best_mask == table.full_mask:
+        # GreedyPhy supports every plan: the bound is already the
+        # maximum, so the search would prune every branch.
+        return greedy_result()
+
+    configs = enumerate_feasible_configs(table, capacity)
     # Per "first operator" candidate lists, largest configurations first
     # (Algorithm 5 sorts configurations by operator count descending).
     by_first = candidates_by_first(configs.items(), len(ops))
@@ -223,14 +253,7 @@ def opt_prune(
     if best_assignment is None:
         # OptPrune found nothing better than greedy; fall back to greedy
         # (which may itself be infeasible).
-        return PhysicalPlanResult(
-            algorithm="OptPrune",
-            physical_plan=greedy.physical_plan,
-            supported_plans=greedy.supported_plans,
-            score=greedy.score,
-            compile_seconds=elapsed,
-            nodes_explored=nodes_explored,
-        )
+        return greedy_result()
 
     blocks = [_subset_to_ops(subset, ops) for subset in best_assignment]
     blocks += [frozenset()] * (n_nodes - len(blocks))
@@ -274,12 +297,8 @@ def opt_prune_heterogeneous(
     far tighter.
     """
     watch = Stopwatch()
+    _check_operator_count(table, "opt_prune_heterogeneous")
     ops = list(table.operator_ids)
-    if len(ops) > _MAX_OPERATORS:
-        raise ValueError(
-            f"opt_prune_heterogeneous supports at most {_MAX_OPERATORS} "
-            f"operators, got {len(ops)}"
-        )
     capacities = cluster.capacities
     n_nodes = cluster.n_nodes
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.query.statistics import StatisticsEstimate, StatPoint
 from repro.util.validation import ensure_non_empty, ensure_positive
-from repro.util.types import FloatArray
+from repro.util.types import FloatArray, IntArray
 
 __all__ = ["Dimension", "ParameterSpace", "Region", "GridIndex"]
 
@@ -227,15 +227,16 @@ class ParameterSpace:
             flat //= d.steps
         return tuple(reversed(index))
 
-    def points_matrix(self, indices: Sequence[GridIndex]) -> FloatArray:
+    def points_matrix(self, indices: Sequence[GridIndex] | IntArray) -> FloatArray:
         """Dense ``(len(indices), n_dims)`` value matrix of grid indices.
 
-        Row ``k`` holds the parameter values of ``indices[k]``; columns
+        Row ``k`` holds the parameter values of ``indices[k]`` (a grid
+        index tuple or a row of an ``(n, n_dims)`` index array); columns
         follow :attr:`names`.  Values are bitwise identical to
         :meth:`Dimension.value` — the input every batch cost kernel
         evaluates.
         """
-        idx = np.asarray(list(indices), dtype=np.intp).reshape(-1, self.n_dims)
+        idx = np.asarray(indices, dtype=np.intp).reshape(-1, self.n_dims)
         return np.column_stack(
             [d.values_array()[idx[:, i]] for i, d in enumerate(self._dimensions)]
         )

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.core.logical import RobustLogicalSolution
-from repro.core.occurrence import NormalOccurrenceModel
+from repro.core.occurrence import OccurrenceModel
 from repro.query.plans import LogicalPlan
 from repro.util.types import FloatArray
 from repro.util.validation import ensure_non_empty, ensure_positive
@@ -142,7 +142,7 @@ class PlanLoadTable:
         cls,
         solution: RobustLogicalSolution,
         *,
-        occurrence: NormalOccurrenceModel | None = None,
+        occurrence: OccurrenceModel | None = None,
     ) -> "PlanLoadTable":
         """Derive loads (region-worst-case) and weights from a solution."""
         weights = solution.plan_weights(occurrence)

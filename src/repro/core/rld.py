@@ -191,8 +191,9 @@ class RLDOptimizer:
             logical = partitioning.solution
 
         # "Robustness" covers everything between partitioning and the
-        # physical search: cost-tensor-backed plan weights, worst-case
-        # and typical loads (the Figure 13 middle band).
+        # physical search: the plan-cell scan, occurrence-table plan
+        # weights, worst-case and typical loads (the Figure 13 middle
+        # band).
         with timer.stage("robustness"):
             occurrence = NormalOccurrenceModel(
                 space, sigma_fraction=config.sigma_fraction

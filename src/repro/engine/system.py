@@ -64,7 +64,10 @@ class LoadDistributionStrategy(Protocol):
     :class:`~repro.engine.faults.FaultEvent` so the strategy can react
     (RLD reroutes around dead bottlenecks, DYN force-migrates off
     crashed nodes).  Strategies without the hook — like ROD — simply
-    suffer the failure.
+    suffer the failure.  They *may* also define ``on_start(simulator)``,
+    called when :meth:`StreamSimulator.run` begins, so state one run
+    left behind (RLD's belief about which nodes are down) does not leak
+    into the next run of the same strategy instance.
     """
 
     name: str
@@ -542,6 +545,9 @@ class StreamSimulator:
         ensure_positive(duration, "duration")
         self._duration = duration
         self._report = SimulationReport(duration=duration)
+        on_start = getattr(self._strategy, "on_start", None)
+        if on_start is not None:
+            on_start(self)
         self._monitor.sample(0.0)
         self._loop.schedule(self._tick_period, lambda: self._on_tick(self._tick_period))
         if self._monitor_period <= duration:

@@ -301,6 +301,17 @@ class RLDStrategy:
         cluster = self._solution.cluster
         return cluster.total_capacity / cluster.n_nodes
 
+    def on_start(self, simulator: StreamSimulator) -> None:
+        """Take node liveness from the simulator whose run begins.
+
+        A strategy instance may drive several runs; nodes a previous
+        run crashed are not down in this one.
+        """
+        down = {node.node_id for node in simulator.nodes if not node.online}
+        if down != self._down:
+            self._down = down
+            self._memo = None
+
     def on_tick(self, simulator: StreamSimulator, time: float) -> None:
         """RLD never migrates; nothing to do on ticks."""
 

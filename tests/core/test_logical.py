@@ -124,7 +124,7 @@ class TestPlanCellTieBreak:
         assert solution.uses_sampled_grid == (space.n_points > MAX_EXACT_GRID_POINTS)
         assert solution.uses_sampled_grid == (steps == 30)
         cells = solution.plan_cells()
-        scanned = solution._representative_indices()
+        scanned = [tuple(row) for row in solution._representative_indices().tolist()]
         assert sorted(i for c in cells.values() for i in c) == sorted(scanned)
         for plan, plan_cells in cells.items():
             for index in plan_cells:

@@ -117,6 +117,15 @@ class TestOptPrune:
         assert result.physical_plan.covers([0, 1, 2, 3])
         assert result.physical_plan.n_nodes == cluster.n_nodes
 
+    def test_operator_cap_holds_when_greedy_supports_every_plan(self):
+        ops = {i: 1.0 for i in range(19)}
+        table = _table({tuple(range(19)): ops})
+        cluster = Cluster.homogeneous(2, 100.0)
+        greedy = greedy_phy(table, cluster)
+        assert table.mask_of(greedy.supported_plans) == table.full_mask
+        with pytest.raises(ValueError, match="at most 18"):
+            opt_prune(table, cluster)
+
     def test_requires_homogeneous_cluster(self):
         table = _table({(0,): {0: 1.0}})
         with pytest.raises(ValueError, match="heterogeneous"):

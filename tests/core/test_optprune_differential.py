@@ -6,7 +6,9 @@ enumerable, so agreement is checkable exactly:
 * ``opt_prune`` must match ``exhaustive_physical``'s optimal score
   (§6.4's optimality claim — Figure 14);
 * ``opt_prune_heterogeneous`` must match brute force over all ``n^m``
-  operator→node assignments.
+  operator→node assignments;
+* when GreedyPhy already supports every plan, ``opt_prune`` must return
+  it unsearched and still match both ground truths.
 """
 
 from __future__ import annotations
@@ -14,10 +16,16 @@ from __future__ import annotations
 from itertools import product as iter_product
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core import Cluster, PhysicalPlan, PlanLoadTable, exhaustive_physical
+from repro.core import (
+    Cluster,
+    PhysicalPlan,
+    PlanLoadTable,
+    exhaustive_physical,
+    greedy_phy,
+)
 from repro.core.optprune import opt_prune, opt_prune_heterogeneous
 from repro.query import LogicalPlan
 
@@ -91,6 +99,37 @@ class TestHomogeneousDifferential:
         truth = exhaustive_physical(table, cluster)
         assert result.score == truth.score
         assert set(result.supported_plans) == set(truth.supported_plans)
+
+
+class TestGreedySupportsEveryPlan:
+    """The greedy exit: when GreedyPhy supports every plan, OptPrune
+    returns it without searching, and it is still optimal."""
+
+    @_SETTINGS
+    @given(
+        instance=_INSTANCES,
+        n_nodes=st.integers(min_value=2, max_value=3),
+        slack=st.sampled_from([1.0, 1.5, 3.0]),
+    )
+    def test_matches_exhaustive_and_brute_force(self, instance, n_nodes, slack):
+        n_ops, n_plans, seed = instance
+        if n_ops > 5:
+            n_ops = 5  # keep the n^m brute force cheap
+        table = _random_table(n_ops, n_plans, seed)
+        # Room for every plan's heaviest operators on each node.
+        total = float(table.load_matrix.sum(axis=1).max())
+        cluster = Cluster.homogeneous(n_nodes, slack * total)
+        greedy = greedy_phy(table, cluster)
+        assume(table.mask_of(greedy.supported_plans) == table.full_mask)
+
+        result = opt_prune(table, cluster)
+        truth = exhaustive_physical(table, cluster)
+        assert result.nodes_explored == 0
+        assert result.physical_plan == greedy.physical_plan
+        assert result.score == greedy.score == truth.score
+        assert result.score == _brute_force_score(table, cluster)
+        assert set(result.supported_plans) == set(truth.supported_plans)
+        assert set(result.supported_plans) == set(table.plans)
 
 
 class TestHeterogeneousDifferential:

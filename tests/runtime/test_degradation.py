@@ -15,7 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import Cluster, ParameterSpace, RLDConfig, RLDOptimizer
-from repro.engine import FaultEvent, FaultSchedule
+from repro.engine import FaultEvent, FaultSchedule, StreamSimulator
 from repro.engine.faults import node_crash
 from repro.runtime.comparison import build_standard_strategies, compare_strategies
 from repro.runtime.rld_runtime import RLDStrategy
@@ -229,6 +229,29 @@ class TestRoutingTableUnderFaults:
         assert len(calls) == 2
         assert strategy.route(11.0, stats).plan == fallback
         assert len(calls) == 2
+
+
+class TestLivenessAcrossRuns:
+    def test_a_second_run_starts_with_every_node_up(self):
+        # One strategy instance, two simulators: nodes the first run
+        # crashed must not stay down in the second.
+        query = build_q1()
+        estimate = query.default_estimates(
+            {op.selectivity_param: 3 for op in query.operators} | {"rate": 2}
+        )
+        cluster = Cluster.homogeneous(4, 380.0)
+        solution = RLDOptimizer(query, cluster).solve(estimate)
+        strategy = RLDStrategy(solution)
+        workload = stock_workload(query, uncertainty_level=3)
+        crash = FaultSchedule.parse("crash@10:node=1", n_nodes=4, duration=60.0)
+
+        StreamSimulator(query, cluster, strategy, workload, faults=crash).run(60.0)
+        assert strategy.down_nodes == frozenset({1})
+
+        simulator = StreamSimulator(query, cluster, strategy, workload)
+        simulator.run(60.0)
+        assert all(node.online for node in simulator.nodes)
+        assert strategy.down_nodes == frozenset()
 
 
 class TestDegradationHeadToHead:
